@@ -158,12 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=20,
         help="p-adic digits for serialized handle pins (default 20)",
     )
-    ap.add_argument(
-        "--format",
-        choices=["text", "machine"],
-        default="text",
-        help="output format (both are line-oriented key=value)",
-    )
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("extensions", help="list structure extensions to a field")

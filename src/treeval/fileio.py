@@ -264,21 +264,6 @@ def load_structure(path: str) -> TP0Structure:
 # -- sentences -------------------------------------------------------------------------
 
 
-def sentence_text(psi: PsiSentence, chi: CharFunction) -> str:
-    from treeval.formulas import print_formula
-
-    coeffs = ",".join(frac_str(c) for c in psi.Q.coeffs)
-    lines = [f"Q: [{coeffs}]"]
-    bottom_char = chi[chi.tree.bottom]
-    if bottom_char:
-        lines.append(f"bottom char {bottom_char}")
-    for node in sorted(psi.conditions):
-        lines.append(
-            f"node {node} char {chi[node]} : {print_formula(psi.conditions[node])}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def parse_sentence(text: str):
     """Returns (PsiSentence, FiniteTree, CharFunction) for a flat tree."""
     lines = [ln.strip() for ln in text.splitlines()]

@@ -28,7 +28,6 @@ from treeval.numfield import (
 )
 from treeval.padic import (
     Membership,
-    ResidueField,
     ValuationHandle,
     ValueVec,
     extend_valuation,
@@ -158,11 +157,6 @@ class GaussHandle:
         if self.base.is_trivial():
             return self.field.coeff_field
         return self.base.factor.kf
-
-    def residue_field(self) -> ResidueField:
-        return ResidueField.rational_function(
-            self.residue_constants(), self.field.variable
-        )
 
     def residue(self, x) -> RatFunc:
         """Residue in (res w)(t) of a unit (or maximal-ideal element)."""

@@ -396,10 +396,6 @@ def roots_in_field(K: NumberField, f: Poly) -> list[FieldElement]:
     return roots
 
 
-def splits_completely(K: NumberField, f: Poly) -> bool:
-    return all(g.degree == 1 for g, _ in factor_over_field(K, f))
-
-
 # -- primitive elements and splitting fields -------------------------------------
 
 

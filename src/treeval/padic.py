@@ -57,9 +57,6 @@ class ValueVec:
     def __hash__(self):
         return hash(self.entries)
 
-    def _cmp_key(self):
-        return self.entries
-
     def __lt__(self, other):
         if self.is_infinite():
             return False
@@ -217,11 +214,6 @@ class ValuationHandle:
         if v.sign() < 0:
             raise PreconditionError("element outside the valuation ring")
         return self.factor.reduce_poly(x.rep)
-
-    def residue_field(self) -> ResidueField:
-        if self.is_trivial():
-            return ResidueField.number(self.field)
-        return ResidueField.finite_field(self.factor.kf)
 
     def fingerprint(self) -> FFElem | None:
         """Residue of the field generator, if it is integral here."""

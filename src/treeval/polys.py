@@ -246,13 +246,14 @@ class Poly:
         field = self.field
         rem = list(self.coeffs)
         db = other.degree
-        inv_lc = field.inv(other.leading())
+        lc = other.leading()
+        inv_lc = None if lc == field.one else field.inv(lc)
         quo = [field.zero] * max(0, len(rem) - db)
         for i in range(len(rem) - 1, db - 1, -1):
             c = rem[i]
             if c == field.zero:
                 continue
-            q = c * inv_lc
+            q = c if inv_lc is None else c * inv_lc
             quo[i - db] = q
             for j, b in enumerate(other.coeffs):
                 rem[i - db + j] = rem[i - db + j] - q * b
@@ -282,7 +283,7 @@ class Poly:
             r0, r1 = r1, r
             s0, s1 = s1, s0 - q * s1
             t0, t1 = t1, t0 - q * t1
-        if r0.is_zero():
+        if r0.is_zero() or r0.is_monic():
             return r0, s0, t0
         lc_inv = field.inv(r0.leading())
         return r0.scale(lc_inv), s0.scale(lc_inv), t0.scale(lc_inv)
@@ -317,13 +318,6 @@ class Poly:
 
     # -- field-characteristic-0 helpers ---------------------------------------
 
-    def squarefree_part(self) -> "Poly":
-        """Radical of self; valid in characteristic 0 only."""
-        if self.is_zero() or self.degree == 0:
-            return self.monic()
-        g = self.gcd(self.derivative())
-        return (self // g).monic()
-
     def squarefree_decomposition(self) -> list[tuple["Poly", int]]:
         """Yun's algorithm (characteristic 0): [(g_i, i)] with prod g_i^i = monic(self)."""
         f = self.monic()
@@ -345,10 +339,6 @@ class Poly:
             d = c - b.derivative()
             i += 1
         return out
-
-
-def poly_from_ints(field, ints) -> Poly:
-    return Poly(field, [field.coerce(i) for i in ints])
 
 
 def resultant(f: Poly, g: Poly):

@@ -12,60 +12,18 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from treeval.gf import GF, is_prime, poly_factor
+from treeval.gf import (
+    GF,
+    _zadd,
+    _zdivmod_monic,
+    _zmul,
+    _zsub,
+    _ztrim,
+    _zxgcd,
+    is_prime,
+    poly_factor,
+)
 from treeval.polys import QQ, Poly
-
-# -- integer polynomial helpers (int lists, constant first) --------------------
-
-
-def _ztrim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _zmul(a, b, m):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % m
-    return _ztrim(out)
-
-
-def _zadd(a, b, m):
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, y in enumerate(b):
-        out[i] = (out[i] + y) % m
-    return _ztrim(out)
-
-
-def _zsub(a, b, m):
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, y in enumerate(b):
-        out[i] = (out[i] - y) % m
-    return _ztrim(out)
-
-
-def _zdivmod_monic(a, b, m):
-    """Divide by a monic divisor b over Z/m."""
-    assert b and b[-1] % m == 1
-    rem = [x % m for x in a]
-    db = len(b) - 1
-    quo = [0] * max(0, len(rem) - db)
-    for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i] % m
-        if c:
-            quo[i - db] = c
-            for j, y in enumerate(b):
-                rem[i - db + j] = (rem[i - db + j] - c * y) % m
-    return _ztrim(quo), _ztrim(rem[:db])
 
 
 def _hensel_step(f, g, h, s, t, m):
@@ -88,13 +46,8 @@ def _hensel_step(f, g, h, s, t, m):
 
 def _lift_pair(f, g, h, p, k):
     """Lift f = g*h (mod p) to mod p^(2^ceil) >= p^k; returns (g, h, modulus)."""
-    fp = GF(p, 1)
-    gp = Poly(fp, [fp.coerce(c) for c in g])
-    hp = Poly(fp, [fp.coerce(c) for c in h])
-    one, s0, t0 = gp.xgcd(hp)
-    assert one.is_one(), "factors not coprime mod p"
-    s = [c.vec[0] for c in s0.coeffs]
-    t = [c.vec[0] for c in t0.coeffs]
+    one, s, t = _zxgcd(g, h, p)
+    assert one == [1], "factors not coprime mod p"
     m = p
     while m < p**k:
         g, h, s, t = _hensel_step(f, g, h, s, t, m)

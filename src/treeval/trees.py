@@ -227,11 +227,6 @@ class Poset:
                 raise ValueError("order relation has a cycle")
         self.below = {e: frozenset(s) for e, s in less.items()}
 
-    @staticmethod
-    def from_tree(tree: FiniteTree) -> "Poset":
-        pairs = [(p, c) for c, p in tree.parent.items()]
-        return Poset(tree.nodes, pairs)
-
     def lt(self, a, b) -> bool:
         return a in self.below[b]
 

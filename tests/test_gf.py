@@ -3,6 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import treeval.gf as gf
+from gf_reference import ref_poly_factor, ref_poly_is_irreducible
+from treeval.cli import main as cli_main
+from treeval.errors import ResourceBoundError
 from treeval.gf import (
     GF,
     Poly,
@@ -140,3 +144,109 @@ def test_is_prime():
     assert [n for n in range(2, 30) if is_prime(n)] == [
         2, 3, 5, 7, 11, 13, 17, 19, 23, 29,
     ]
+
+
+# Canonical moduli of every F_{p^m}, m > 1, that the acceptance suite builds.
+ACCEPTANCE_MODULI = {
+    (2, 2): (1, 1), (2, 4): (1, 1, 0, 0), (3, 2): (1, 0), (3, 4): (2, 1, 0, 0),
+    (5, 2): (2, 0), (7, 2): (1, 0), (7, 4): (1, 1, 0, 0), (11, 2): (1, 0),
+    (13, 2): (2, 0), (13, 4): (2, 0, 0, 0), (17, 2): (3, 0), (17, 4): (3, 0, 0, 0),
+    (19, 2): (1, 0), (23, 2): (1, 0), (23, 4): (2, 1, 0, 0), (29, 2): (2, 0),
+    (31, 2): (1, 0), (37, 2): (2, 0), (37, 4): (2, 0, 0, 0), (41, 2): (3, 0),
+    (43, 2): (1, 0), (43, 4): (3, 1, 0, 0), (47, 2): (1, 0), (47, 4): (5, 1, 0, 0),
+}
+
+
+def test_acceptance_moduli_unchanged():
+    for (p, m), modulus in ACCEPTANCE_MODULI.items():
+        assert GF(p, m).modulus == modulus, (p, m)
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+        assert GF(p, 1).modulus == (0,)
+
+
+# -- the factoring kernel against the generic Poly reference ---------------------
+
+REF_FIELDS = [(p, m) for p in (2, 3, 5, 7, 47) for m in (1, 2, 3, 4)]
+
+
+def _elem(F, r):
+    vec = []
+    for _ in range(F.m):
+        r, c = divmod(r, F.p)
+        vec.append(c)
+    return F.elem(vec)
+
+
+def _monic(F, degree, index):
+    """The index-th monic polynomial of the given degree (base-q digits)."""
+    coeffs = []
+    for _ in range(degree):
+        index, r = divmod(index, F.size)
+        coeffs.append(_elem(F, r))
+    return Poly(F, coeffs + [F.one])
+
+
+@st.composite
+def factoring_inputs(draw):
+    p, m = draw(st.sampled_from(REF_FIELDS))
+    F = GF(p, m)
+    q = F.size
+    # The reference is slow over large fields, and in characteristic 2 over
+    # F_8 and F_16 its trial sequence can need thousands of rounds to split
+    # a product of two irreducibles of degree >= 2; keep those inputs small.
+    small = q <= 64 and not (p == 2 and m > 2)
+    elem = st.integers(0, q - 1).map(lambda r: _elem(F, r))
+    nonzero = st.integers(1, q - 1).map(lambda r: _elem(F, r))
+
+    def any_poly(max_degree):
+        d = draw(st.integers(1, max_degree))
+        return Poly(F, draw(st.lists(elem, min_size=d, max_size=d)) + [draw(nonzero)])
+
+    kind = draw(st.sampled_from(["random", "repeated", "pth_power", "equal_degree"]))
+    if kind == "random":
+        f = any_poly(6 if small else 3)
+    elif kind == "repeated":
+        f = Poly.one(F)
+        for _ in range(draw(st.integers(1, 3))):
+            f = f * any_poly(2 if small else 1) ** draw(st.integers(1, 3))
+    elif kind == "pth_power":
+        f = any_poly(2 if small else 1) ** p
+        if p <= 7:  # times a cofactor, so a p-th power is only part of f
+            f = f * any_poly(2 if small else 1)
+    else:
+        d = draw(st.integers(1, 3 if small else 1 if p == 2 else 2))
+        count = draw(st.integers(2, 3))
+        index = draw(st.integers(0, q**d - 1))
+        irreducibles = []
+        while len(irreducibles) < count and index < q**d:
+            g = _monic(F, d, index)
+            if ref_poly_is_irreducible(g):
+                irreducibles.append(g)
+            index += 1
+        f = Poly.const(F, draw(nonzero))
+        for g in irreducibles:
+            f = f * g
+    return f
+
+
+@settings(max_examples=80, deadline=None)
+@given(factoring_inputs())
+def test_kernel_matches_reference(f):
+    assert poly_factor(f) == ref_poly_factor(f)
+    assert poly_is_irreducible(f) == ref_poly_is_irreducible(f)
+
+
+def test_equal_degree_bound_raises_resource_error(monkeypatch):
+    monkeypatch.setattr(gf, "EDF_MAX_TRIALS", 0)
+    f5 = GF(5, 1)
+    with pytest.raises(ResourceBoundError, match=r"gf\.poly_factor.* 0 trial"):
+        poly_factor(Poly(f5, [1, 0, 1]))  # (x - 2)(x - 3) needs a split
+
+
+def test_equal_degree_bound_is_cli_exit_3(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(gf, "EDF_MAX_TRIALS", 0)
+    sentence = tmp_path / "snt.txt"
+    sentence.write_text("Q: [1,0,1]\nbottom char 5\nnode a char 5 : x - 2 = 0\n")
+    assert cli_main(["decide", str(sentence)]) == 3
+    err = capsys.readouterr().err
+    assert "gf.poly_factor" in err and "Traceback" not in err
