@@ -508,16 +508,49 @@ def _factor_in(nf: NumberField, qpoly: Poly):
     return factor_over_field(nf, qpoly.map_coeffs(nf, nf.coerce))
 
 
-def evaluate(f, structure, bindings=None, env=None) -> bool:
+class BinderRoots:
+    """The roots of each binder polynomial in one structure field.
+
+    A binder is split with `field_roots` at its first use and at most
+    once per table, so formulas evaluated over many structures on the
+    same field can share one table.  ``known`` maps binder coefficient
+    tuples (constant first) to roots already computed elsewhere, in the
+    order `field_roots` returns them; they are coerced into the field.
+    """
+
+    __slots__ = ("field", "_roots")
+
+    def __init__(self, field, known=None):
+        self.field = field
+        self._roots = {
+            key: tuple(field.coerce(r) for r in roots)
+            for key, roots in (known or {}).items()
+        }
+
+    def of(self, binder: FExistsRoot) -> tuple:
+        roots = self._roots.get(binder.poly)
+        if roots is None:
+            roots = tuple(field_roots(self.field, binder.poly_qq()))
+            self._roots[binder.poly] = roots
+        return roots
+
+
+def evaluate(f, structure, bindings=None, env=None, roots=None) -> bool:
     """Truth value of a formula over a structure.
 
     ``bindings`` maps parameter names to elements of the structure
     field; ``env`` pre-binds free variables (for one-variable condition
-    formulas).  Every binder polynomial must split in the field;
+    formulas).  ``roots`` is a `BinderRoots` table on the structure
+    field to share across calls; without one, each binder is split once
+    per call.  Every binder polynomial must split in the field;
     division by zero inside a term makes the enclosing atom false.
     """
     bindings = bindings or {}
     field = structure.field
+    if roots is None:
+        roots = BinderRoots(field)
+    elif roots.field is not field and roots.field != field:
+        raise PreconditionError("binder root table is on a different field")
 
     def term_value(t, env):
         if isinstance(t, TNum):
@@ -572,7 +605,7 @@ def evaluate(f, structure, bindings=None, env=None) -> bool:
         if isinstance(f, FOr):
             return go(f.left, env) or go(f.right, env)
         if isinstance(f, FExistsRoot):
-            for root in field_roots(field, f.poly_qq()):
+            for root in roots.of(f):
                 env2 = dict(env)
                 env2[f.var] = root
                 if go(f.body, env2):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from treeval.errors import PreconditionError
-from treeval.formulas import FAnd, FNot, FOr, binder_polynomials, evaluate
+from treeval.formulas import BinderRoots, FAnd, FNot, FOr, binder_polynomials, evaluate
 from treeval.numfield import (
     DEFAULT_DEGREE_BOUND,
     DEFAULT_FIELD_CAP,
@@ -33,14 +33,20 @@ from treeval.structures import (
 
 
 class DeterminingExtension:
-    """A normal extension of the structure constants splitting all binders."""
+    """A normal extension of the structure constants splitting all binders.
 
-    __slots__ = ("base_structure", "field", "emb")
+    ``roots`` maps each binder's coefficient tuple (constant first) to
+    its roots in the field, in the order `formulas.field_roots` returns
+    them.
+    """
 
-    def __init__(self, base_structure, field, emb):
+    __slots__ = ("base_structure", "field", "emb", "roots")
+
+    def __init__(self, base_structure, field, emb, roots=None):
         self.base_structure = base_structure
         self.field = field
         self.emb = emb
+        self.roots = roots or {}
 
 
 class MeasureResult:
@@ -88,7 +94,15 @@ def determining_extension(
     data = splitting_field(
         product, base=base, degree_bound=max(product.degree, 1), field_cap=field_cap
     )
-    return DeterminingExtension(S, data.field, data.base_embedding)
+    L = data.field
+    roots = {}
+    for q in polys:
+        qL = q.map_coeffs(L, L.coerce)
+        own = [r for r in data.roots if qL.evaluate(r).is_zero()]
+        # field_roots lists roots by their linear factors x - r
+        own.sort(key=lambda r: (-r).key())
+        roots[q.coeffs] = own
+    return DeterminingExtension(S, L, data.base_embedding, roots)
 
 
 def map_bindings(bindings: dict, S: TP0Structure, emb: FieldEmbedding, target_field):
@@ -104,22 +118,26 @@ def map_bindings(bindings: dict, S: TP0Structure, emb: FieldEmbedding, target_fi
 
 
 def measure_over(
-    phi, bindings, S: TP0Structure, L: NumberField, emb: FieldEmbedding
+    phi, bindings, S: TP0Structure, L: NumberField, emb: FieldEmbedding, roots=None
 ) -> MeasureResult:
     """The measure computed over a given normal extension of the constants.
 
     The binders must split in L (otherwise evaluation raises); the result
     does not depend on the choice of L by the uniform-fiber property.
+    ``roots`` holds binder roots already known in L (as on
+    `DeterminingExtension`); the others are split once, at first use,
+    for all members together.
     """
     exts = enumerate_structure_extensions(S, L, emb)
     target_field = exts.members[0].field if exts.members else L
     mapped = map_bindings(bindings, S, emb, target_field)
+    table = BinderRoots(target_field, roots)
     true_count = 0
     for m in exts.members:
-        if evaluate(phi, m, mapped):
+        if evaluate(phi, m, mapped, roots=table):
             true_count += 1
     total = len(exts.members)
-    det = DeterminingExtension(S, L, emb)
+    det = DeterminingExtension(S, L, emb, roots)
     return MeasureResult(Fraction(true_count, total), det, (true_count, total))
 
 
@@ -132,7 +150,7 @@ def measure(
 ) -> MeasureResult:
     """The canonical measure of the formula over the structure."""
     det = determining_extension([phi], S, degree_bound, field_cap)
-    return measure_over(phi, bindings, S, det.field, det.emb)
+    return measure_over(phi, bindings, S, det.field, det.emb, det.roots)
 
 
 def measure_stable_under(
@@ -152,13 +170,14 @@ def check_axioms(S: TP0Structure, phi, psi, bindings=None) -> dict:
     """
     report = {}
     det = determining_extension([phi, psi], S)
-    m_phi = measure_over(phi, bindings, S, det.field, det.emb)
-    m_not = measure_over(FNot(phi), bindings, S, det.field, det.emb)
+    over = (S, det.field, det.emb, det.roots)
+    m_phi = measure_over(phi, bindings, *over)
+    m_not = measure_over(FNot(phi), bindings, *over)
     report["complement"] = m_phi.value + m_not.value == 1
 
-    m_psi = measure_over(psi, bindings, S, det.field, det.emb)
-    m_or = measure_over(FOr(phi, psi), bindings, S, det.field, det.emb)
-    m_and = measure_over(FAnd(phi, psi), bindings, S, det.field, det.emb)
+    m_psi = measure_over(psi, bindings, *over)
+    m_or = measure_over(FOr(phi, psi), bindings, *over)
+    m_and = measure_over(FAnd(phi, psi), bindings, *over)
     report["inclusion_exclusion"] = (
         m_phi.value + m_psi.value == m_or.value + m_and.value
     )
@@ -167,13 +186,13 @@ def check_axioms(S: TP0Structure, phi, psi, bindings=None) -> dict:
     report["certainty"] = (m_phi.value == 1) == (
         m_phi.tally[0] == m_phi.tally[1]
     )
-    report["weighting"] = _check_weighting(phi, bindings, S, det)
+    report["weighting"] = _check_weighting(phi, bindings, S, det, m_phi.value)
     return report
 
 
-def _check_weighting(phi, bindings, S, det) -> bool:
-    """P(phi|K) equals the average of P(phi|L_i) over the extensions L_i."""
-    base_value = measure_over(phi, bindings, S, det.field, det.emb).value
+def _check_weighting(phi, bindings, S, det, base_value) -> bool:
+    """P(phi|K), given as base_value, equals the average of P(phi|L_i)
+    over the extensions L_i, each measured on its own."""
     exts = enumerate_structure_extensions(S, det.field, det.emb)
     target_field = exts.members[0].field
     mapped = map_bindings(bindings, S, det.emb, target_field)

@@ -490,11 +490,20 @@ def splitting_field(
     while pending:
         pending.sort(key=lambda q: (q.degree, [c.key() for c in q.coeffs]))
         g = pending.pop(0)
-        M, step, _ = extend_by_irreducible(L, g, field_cap=field_cap)
-        roots = [step(r) for r in roots]
+        M, step, beta = extend_by_irreducible(L, g, field_cap=field_cap)
+        roots = [step(r) for r in roots] + [beta]
         emb = step.compose(emb)
-        old_pending = [step.map_poly(q) for q in pending] + [step.map_poly(g)]
+        # g is irreducible, hence separable: only its cofactor by x - beta
+        # is left to split over M.
+        cofactor, rem = step.map_poly(g).divmod(Poly(M, [-beta, M.one]))
+        if not rem.is_zero():
+            raise ArithmeticError("adjoined element is not a root of its polynomial")
+        old_pending = [step.map_poly(q) for q in pending]
         pending = []
+        if cofactor.degree == 1:
+            roots.append(-cofactor.coeffs[0])
+        else:
+            old_pending.append(cofactor)
         for q in old_pending:
             for h, _ in factor_over_field(M, q):
                 if h.degree == 1:

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treeval.errors import ParseError
+from treeval.errors import ParseError, PreconditionError
 from treeval.formulas import (
+    BinderRoots,
     BinderSplitError,
     FAnd,
     FEqZero,
@@ -25,6 +26,7 @@ from treeval.formulas import (
     TVar,
     binder_polynomials,
     evaluate,
+    field_roots,
     mentioned_nodes,
     parameters,
     parse,
@@ -165,6 +167,39 @@ def test_binder_requires_split():
     S = structure_v5_v13()
     with pytest.raises(BinderSplitError):
         evaluate(parse("exists x root [1,0,1] : x - 2 in m[a]"), S)
+
+
+def test_unreached_binder_is_not_split():
+    # x^2 + 1 does not split over Q; the left disjunct settles the value first
+    S = structure_v5_v13()
+    assert evaluate(parse("0 = 0 | exists x root [1,0,1] : x = 0"), S)
+
+
+def test_root_table_splits_each_binder_once(monkeypatch):
+    import treeval.formulas as formulas_module
+
+    calls = []
+
+    def counting_field_roots(field, qpoly):
+        calls.append(qpoly)
+        return field_roots(field, qpoly)
+
+    phi = parse(
+        "(exists x root [1,0,1] : exists y root [1,0,1] : x - y in m[a])"
+        " & (exists x root [1,0,1] : x - 5 in m[b])"
+    )
+    members = extensions_to_gauss()
+    expected = [evaluate(phi, m) for m in members]
+    monkeypatch.setattr(formulas_module, "field_roots", counting_field_roots)
+    table = BinderRoots(members[0].field)
+    assert [evaluate(phi, m, roots=table) for m in members] == expected
+    assert calls == [P(1, 0, 1)]
+
+
+def test_root_table_on_another_field_is_rejected():
+    m = extensions_to_gauss()[0]
+    with pytest.raises(PreconditionError):
+        evaluate(parse("exists x root [1,0,1] : x = 0"), m, roots=BinderRoots(QQ_FIELD))
 
 
 def test_golden_gauss_evaluation():

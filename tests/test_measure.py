@@ -3,8 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
-from treeval.formulas import FNot, parse
+from test_formulas import close_formula, formulas as formula_bodies
+from treeval.formulas import BinderSplitError, FNot, evaluate, field_roots, parse
 from treeval.funcfield import GaussHandle, trivial_gauss
 from treeval.measure import (
     check_axioms,
@@ -19,7 +21,7 @@ from treeval.numfield import NumberField, QQ_FIELD, rational_embedding, splittin
 from treeval.padic import padic_handle_on_Q, trivial_handle
 from treeval.polys import QQ, Poly
 from treeval.ratfunc import RatFuncField
-from treeval.structures import TP0Structure
+from treeval.structures import TP0Structure, enumerate_structure_extensions
 from treeval.trees import FiniteTree
 
 
@@ -184,3 +186,55 @@ def test_determining_extension_identity_for_qf():
     det = determining_extension([parse("5 in m[a]")], S)
     assert det.field == QQ_FIELD
     assert det.emb.is_identity()
+
+
+def test_determining_extension_roots_in_field_roots_order():
+    S = two_prime_structure()
+    phi = parse(
+        "exists x root [1,0,1] : exists y root [-2,0,1] : x - y in m[a]"
+    )
+    det = determining_extension([phi, PHI_SINGLE], S)
+    assert det.field.degree == 4
+    assert set(det.roots) == {P(1, 0, 1).coeffs, P(-2, 0, 1).coeffs}
+    for key, roots in det.roots.items():
+        assert roots == field_roots(det.field, Poly(QQ, key))
+
+
+@given(formula_bodies)
+@settings(max_examples=25, deadline=None)
+def test_shared_root_table_matches_member_evaluation(body):
+    phi = close_formula(body)
+    S = two_prime_structure()
+    bindings = {"u": Fraction(3), "w": Fraction(1, 5)}
+    det = determining_extension([phi], S)
+    members = enumerate_structure_extensions(S, det.field, det.emb).members
+    count = sum(evaluate(phi, m, bindings) for m in members)
+    assert measure(phi, bindings, S).tally == (count, len(members))
+    unseeded = measure_over(phi, bindings, S, det.field, det.emb)
+    assert unseeded.tally == (count, len(members))
+
+
+def test_measure_over_raises_when_binder_does_not_split():
+    S = two_prime_structure()
+    GAUSSI = NumberField(P(1, 0, 1), label="Q(i)")
+    phi = parse("exists x root [-2,0,1] : x in m[a]")
+    with pytest.raises(BinderSplitError):
+        measure_over(phi, {}, S, GAUSSI, rational_embedding(GAUSSI))
+
+
+def test_measure_factors_the_binder_once(monkeypatch):
+    import treeval.numfield as numfield
+
+    original = numfield.factor_over_field
+    calls = []
+
+    def counting(K, f):
+        calls.append(f)
+        return original(K, f)
+
+    S = two_prime_structure()
+    phi = parse("exists x root [1,0,1] : x - 2 in m[a]")
+    monkeypatch.setattr(numfield, "factor_over_field", counting)
+    assert measure(phi, {}, S).tally == (4, 4)
+    # the split of x^2 + 1 over Q; the members reuse its roots
+    assert len(calls) == 1

@@ -117,6 +117,73 @@ def test_splitting_over_extension_base():
     assert data.base_embedding.source == SQRT2
 
 
+# Field minpolys and root keys recorded from the splitting procedure that
+# factored each adjoined polynomial in full over the new field; splitting
+# only its cofactor by the adjoined root must reproduce them exactly.
+SPLITTING_PINS = {
+    "x^3-2": (
+        P(-2, 0, 0, 1),
+        (108, 0, 0, 0, 0, 0, 1),
+        [
+            (0, "-1/2", 0, 0, "-1/36", 0),
+            (0, 0, 0, 0, "1/18", 0),
+            (0, "1/2", 0, 0, "-1/36", 0),
+        ],
+    ),
+    "x^4-2": (
+        P(-2, 0, 0, 0, 1),
+        (2500, 0, 0, 0, 28, 0, 0, 0, 1),
+        [
+            (0, "-41/120", 0, 0, 0, "1/240", 0, 0),
+            (0, "-19/60", 0, 0, 0, "-1/120", 0, 0),
+            (0, "19/60", 0, 0, 0, "1/120", 0, 0),
+            (0, "41/120", 0, 0, 0, "-1/240", 0, 0),
+        ],
+    ),
+    "x^3-x-1": (
+        P(-1, -1, 0, 1),
+        (23, 0, 9, 0, -6, 0, 1),
+        [
+            ("-2/9", "-1/2", "5/18", 0, "-1/18", 0),
+            ("-2/9", "1/2", "5/18", 0, "-1/18", 0),
+            ("4/9", 0, "-5/9", 0, "1/9", 0),
+        ],
+    ),
+    "x^3-3x+1": (
+        P(1, -3, 0, 1),
+        (1, -3, 0, 1),
+        [(-2, 0, 1), (0, 1, 0), (2, -1, -1)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLITTING_PINS))
+def test_splitting_field_pins(name):
+    f, minpoly, root_keys = SPLITTING_PINS[name]
+    data = splitting_field(f)
+    assert data.field.minpoly == P(*minpoly)
+    assert [r.key() for r in data.roots] == [
+        tuple(Fraction(c) for c in key) for key in root_keys
+    ]
+    assert data.base_embedding.source == QQ_FIELD
+    fL = f.map_coeffs(data.field, data.field.coerce)
+    assert all(fL.evaluate(r).is_zero() for r in data.roots)
+
+
+def test_splitting_field_rejects_a_wrong_adjoined_root(monkeypatch):
+    import treeval.numfield as numfield
+
+    original = numfield.extend_by_irreducible
+
+    def off_by_one(L, g, field_cap):
+        M, emb, beta = original(L, g, field_cap=field_cap)
+        return M, emb, beta + 1
+
+    monkeypatch.setattr(numfield, "extend_by_irreducible", off_by_one)
+    with pytest.raises(ArithmeticError):
+        splitting_field(P(1, 0, 1))
+
+
 def test_automorphisms_gauss():
     auts = automorphisms(GAUSS)
     assert len(auts) == 2
